@@ -27,8 +27,7 @@ pub fn mcp_on_graph(
     overlap: &ffsm_hypergraph::independent_set::SimpleGraph,
     budget: SearchBudget,
 ) -> MeasureOutcome {
-    let res = clique_cover_number(overlap, budget);
-    MeasureOutcome { value: res.value, optimal: res.optimal }
+    MeasureOutcome::from_solve(clique_cover_number(overlap, budget))
 }
 
 /// Exact (budgeted) minimum clique partition of the overlap graph of `hypergraph`,

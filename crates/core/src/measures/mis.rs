@@ -18,8 +18,7 @@ use ffsm_hypergraph::{Hypergraph, SearchBudget};
 /// MIS support on an already-built overlap graph — the single solving path shared by
 /// [`mis`], `SupportMeasures` (which caches the graph) and the miner.
 pub fn mis_on_graph(overlap: &SimpleGraph, budget: SearchBudget) -> MeasureOutcome {
-    let res = exact_max_independent_set(overlap, budget);
-    MeasureOutcome { value: res.value, optimal: res.optimal }
+    MeasureOutcome::from_solve(exact_max_independent_set(overlap, budget))
 }
 
 /// Overlap-graph maximum-independent-set support: builds the overlap graph of the
@@ -39,8 +38,7 @@ pub fn mies(hypergraph: &Hypergraph, budget: SearchBudget) -> MeasureOutcome {
     if hypergraph.is_empty() {
         return MeasureOutcome { value: 0, optimal: true };
     }
-    let res = exact_independent_edge_set(hypergraph, budget);
-    MeasureOutcome { value: res.value, optimal: res.optimal }
+    MeasureOutcome::from_solve(exact_independent_edge_set(hypergraph, budget))
 }
 
 #[cfg(test)]

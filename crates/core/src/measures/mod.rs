@@ -16,7 +16,7 @@ use crate::occurrences::{HypergraphBasis, OccurrenceSet};
 use crate::overlap::{OverlapAnalysis, OverlapCache, OverlapConfig};
 use ffsm_graph::isomorphism::IsoConfig;
 use ffsm_hypergraph::independent_set::SimpleGraph;
-use ffsm_hypergraph::{Hypergraph, SearchBudget};
+use ffsm_hypergraph::{ExactResult, Hypergraph, SearchBudget};
 use std::cell::OnceCell;
 use std::sync::Arc;
 
@@ -267,6 +267,15 @@ pub struct MeasureOutcome {
     /// `false` if the search budget was exhausted and `value` is only the best bound
     /// found (an upper bound for minimisation problems, lower bound for maximisation).
     pub optimal: bool,
+}
+
+impl MeasureOutcome {
+    /// The outcome of one exact solve, tallied on this thread's solver counters
+    /// ([`ffsm_obs::tls::add_solve`]) on the way.
+    pub(crate) fn from_solve(res: ExactResult) -> Self {
+        ffsm_obs::tls::add_solve(res.nodes as u64, res.optimal);
+        MeasureOutcome { value: res.value, optimal: res.optimal }
+    }
 }
 
 /// Configuration shared by all measures.

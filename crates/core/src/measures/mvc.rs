@@ -33,10 +33,7 @@ pub fn mvc(
         return MeasureOutcome { value: 0, optimal: true };
     }
     match algorithm {
-        MvcAlgorithm::Exact => {
-            let res = exact_vertex_cover(hypergraph, budget);
-            MeasureOutcome { value: res.value, optimal: res.optimal }
-        }
+        MvcAlgorithm::Exact => MeasureOutcome::from_solve(exact_vertex_cover(hypergraph, budget)),
         MvcAlgorithm::GreedyMatching => {
             MeasureOutcome { value: greedy_matching_cover(hypergraph).len(), optimal: false }
         }

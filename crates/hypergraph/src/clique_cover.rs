@@ -83,9 +83,15 @@ pub fn greedy_clique_partition(g: &SimpleGraph) -> CliquePartition {
 /// known solution.  The search explores at most `budget.0` nodes; if the budget runs
 /// out the best partition found so far is returned with `optimal = false`.
 pub fn exact_clique_partition(g: &SimpleGraph, budget: SearchBudget) -> (CliquePartition, bool) {
+    let (partition, optimal, _) = partition_search(g, budget);
+    (partition, optimal)
+}
+
+/// [`exact_clique_partition`] plus the number of search nodes it explored.
+fn partition_search(g: &SimpleGraph, budget: SearchBudget) -> (CliquePartition, bool, usize) {
     let n = g.num_vertices();
     if n == 0 {
-        return (Vec::new(), true);
+        return (Vec::new(), true, 0);
     }
     // Start from the greedy solution as the incumbent upper bound.
     let greedy = greedy_clique_partition(g);
@@ -162,17 +168,18 @@ pub fn exact_clique_partition(g: &SimpleGraph, budget: SearchBudget) -> (CliqueP
     }
     partition.sort();
     debug_assert_eq!(partition.len(), best_size);
-    (partition, optimal)
+    (partition, optimal, search.explored)
 }
 
 /// Clique-cover number as an [`ExactResult`] (value = number of cliques, witness =
 /// the representative smallest vertex of every clique).
 pub fn clique_cover_number(g: &SimpleGraph, budget: SearchBudget) -> ExactResult {
-    let (partition, optimal) = exact_clique_partition(g, budget);
+    let (partition, optimal, nodes) = partition_search(g, budget);
     ExactResult {
         value: partition.len(),
         witness: partition.iter().filter_map(|c| c.first().copied()).collect(),
         optimal,
+        nodes,
     }
 }
 

@@ -7,7 +7,7 @@
 //! faster — this is the "additiveness" extension the paper lists as future work
 //! (Section 6, item 4).  `ffsm-core::decompose` builds on this module.
 
-use crate::{EdgeId, Hypergraph};
+use crate::{EdgeId, ExactResult, Hypergraph, SearchBudget};
 
 /// One connected component of a hypergraph, re-indexed densely.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -103,6 +103,34 @@ pub fn connected_components(h: &Hypergraph) -> Vec<Component> {
         comp.edges.push(eid);
     }
     components
+}
+
+/// Solve an additive problem — a minimum vertex cover, a maximum independent edge
+/// set — one connected component at a time, with `budget` shared by all of them:
+/// each component runs on what the earlier ones left, so the summed
+/// [`ExactResult::nodes`] never exceeds it.  `solve` answers one component;
+/// `lift` maps an element of its witness (a vertex or an edge) back to `h`.  A
+/// connected `h` is handed to `solve` as is.
+pub(crate) fn solve_by_components(
+    h: &Hypergraph,
+    budget: SearchBudget,
+    solve: impl Fn(&Hypergraph, SearchBudget) -> ExactResult,
+    lift: impl Fn(&Component, usize) -> usize,
+) -> ExactResult {
+    let components = connected_components(h);
+    if components.len() <= 1 {
+        return solve(h, budget);
+    }
+    let mut total = ExactResult { value: 0, witness: Vec::new(), optimal: true, nodes: 0 };
+    for c in &components {
+        let r = solve(&c.hypergraph, SearchBudget(budget.0 - total.nodes));
+        total.value += r.value;
+        total.optimal &= r.optimal;
+        total.nodes += r.nodes;
+        total.witness.extend(r.witness.iter().map(|&x| lift(c, x)));
+    }
+    total.witness.sort_unstable();
+    total
 }
 
 /// Number of connected components (by edges; isolated vertices ignored).

@@ -35,7 +35,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod blocks;
 pub mod clique_cover;
 pub mod connectivity;
 mod hypergraph;
@@ -45,7 +44,6 @@ pub mod parallel;
 pub mod reduction;
 pub mod set_cover;
 pub mod statistics;
-pub mod transversal;
 pub mod vertex_cover;
 
 pub use hypergraph::{EdgeId, Hypergraph, HypergraphError};
@@ -59,8 +57,11 @@ pub struct ExactResult {
     pub value: usize,
     /// The vertices / edges achieving it.
     pub witness: Vec<usize>,
-    /// `true` if the search proved optimality, `false` if the node budget ran out.
+    /// `true` if the search proved optimality, `false` if the node budget ran out
+    /// (or, for MIS, a component was too large to search at all).
     pub optimal: bool,
+    /// Search nodes explored — never more than the [`SearchBudget`] it ran under.
+    pub nodes: usize,
 }
 
 /// Budget for exact branch-and-bound searches (number of explored search nodes).

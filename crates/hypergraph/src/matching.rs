@@ -5,6 +5,7 @@
 //! the overlap-graph MIS measure.  Set packing is NP-hard, so as with vertex covers
 //! we provide an exact branch-and-bound plus a greedy heuristic.
 
+use crate::connectivity::solve_by_components;
 use crate::hypergraph::intersection_empty;
 use crate::{ExactResult, Hypergraph, SearchBudget};
 
@@ -21,11 +22,11 @@ struct PackingSearch<'a> {
 
 impl<'a> PackingSearch<'a> {
     fn search(&mut self, next: usize, chosen: &mut Vec<usize>, blocked: &mut Vec<u32>) {
-        self.nodes += 1;
-        if self.nodes > self.budget {
+        if self.nodes == self.budget {
             self.optimal = false;
             return;
         }
+        self.nodes += 1;
         let m = self.h.num_edges();
         // Upper bound: everything not yet blocked from `next` onwards could be added.
         let available = (next..m).filter(|&e| blocked[e] == 0).count();
@@ -60,12 +61,18 @@ impl<'a> PackingSearch<'a> {
     }
 }
 
-/// Exact maximum independent edge set (set packing) via branch and bound.
+/// Exact maximum independent edge set (set packing) via branch and bound, one
+/// connected component at a time with the node `budget` shared across components
+/// (packings are additive).
 pub fn exact_independent_edge_set(h: &Hypergraph, budget: SearchBudget) -> ExactResult {
-    let m = h.num_edges();
-    if m == 0 {
-        return ExactResult { value: 0, witness: Vec::new(), optimal: true };
+    if h.is_empty() {
+        return ExactResult { value: 0, witness: Vec::new(), optimal: true, nodes: 0 };
     }
+    solve_by_components(h, budget, pack_component, |c, e| c.edges[e])
+}
+
+fn pack_component(h: &Hypergraph, budget: SearchBudget) -> ExactResult {
+    let m = h.num_edges();
     let mut conflicts = vec![Vec::new(); m];
     for i in 0..m {
         for j in (i + 1)..m {
@@ -87,7 +94,12 @@ pub fn exact_independent_edge_set(h: &Hypergraph, budget: SearchBudget) -> Exact
     };
     let mut blocked = vec![0u32; m];
     search.search(0, &mut Vec::new(), &mut blocked);
-    ExactResult { value: search.best_size, witness: search.best, optimal: search.optimal }
+    ExactResult {
+        value: search.best_size,
+        witness: search.best,
+        optimal: search.optimal,
+        nodes: search.nodes,
+    }
 }
 
 /// Greedy maximal independent edge set: scan edges in order of increasing size and

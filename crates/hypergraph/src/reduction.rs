@@ -240,6 +240,7 @@ pub fn reduced_exact_vertex_cover(
             value: reduced.forced.len(),
             witness: reduced.forced.clone(),
             optimal: true,
+            nodes: 0,
         };
     }
     let inner = crate::vertex_cover::exact_vertex_cover(&reduced.hypergraph, budget);
@@ -247,6 +248,7 @@ pub fn reduced_exact_vertex_cover(
         value: reduced.lift_value(inner.value),
         witness: reduced.lift_cover(&inner.witness),
         optimal: inner.optimal,
+        nodes: inner.nodes,
     }
 }
 

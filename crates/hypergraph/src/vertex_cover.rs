@@ -12,6 +12,7 @@
 //! * [`greedy_degree_cover`] — pick the highest-degree vertex repeatedly
 //!   (H_d-approximation); often much tighter in practice.
 
+use crate::connectivity::solve_by_components;
 use crate::hypergraph::intersection_empty;
 use crate::{ExactResult, Hypergraph, SearchBudget};
 
@@ -42,11 +43,11 @@ struct CoverSearch<'a> {
 
 impl<'a> CoverSearch<'a> {
     fn search(&mut self, chosen: &mut Vec<usize>, covered: &mut Vec<bool>, num_covered: usize) {
-        self.nodes += 1;
-        if self.nodes > self.budget {
+        if self.nodes == self.budget {
             self.optimal = false;
             return;
         }
+        self.nodes += 1;
         if chosen.len() >= self.best_size {
             return;
         }
@@ -81,23 +82,28 @@ impl<'a> CoverSearch<'a> {
             for &e in &newly {
                 covered[e] = false;
             }
-            if !self.optimal && self.nodes > self.budget {
+            if !self.optimal {
                 return;
             }
         }
     }
 }
 
-/// Exact minimum vertex cover via branch and bound.
+/// Exact minimum vertex cover via branch and bound, one connected component at a
+/// time with the node `budget` shared across components (covers are additive).
 ///
-/// The search first drops non-minimal edges (covering a subset covers every superset)
-/// and seeds the incumbent with the greedy degree cover, so the bound is tight from
-/// the start.  If the node `budget` is exhausted the best cover found so far is
-/// returned with `optimal = false`.
+/// Each component's search first drops non-minimal edges (covering a subset covers
+/// every superset) and seeds the incumbent with the greedy degree cover, so the bound
+/// is tight from the start.  If the node `budget` is exhausted the best cover found
+/// so far is returned with `optimal = false`.
 pub fn exact_vertex_cover(h: &Hypergraph, budget: SearchBudget) -> ExactResult {
     if h.is_empty() {
-        return ExactResult { value: 0, witness: Vec::new(), optimal: true };
+        return ExactResult { value: 0, witness: Vec::new(), optimal: true, nodes: 0 };
     }
+    solve_by_components(h, budget, cover_component, |c, v| c.vertices[v])
+}
+
+fn cover_component(h: &Hypergraph, budget: SearchBudget) -> ExactResult {
     let reduced = h.restrict_to_edges(&h.minimal_edge_indices());
     let seed = greedy_degree_cover(&reduced);
     let mut search = CoverSearch {
@@ -111,7 +117,12 @@ pub fn exact_vertex_cover(h: &Hypergraph, budget: SearchBudget) -> ExactResult {
     };
     let mut covered = vec![false; reduced.num_edges()];
     search.search(&mut Vec::new(), &mut covered, 0);
-    ExactResult { value: search.best_size, witness: search.best, optimal: search.optimal }
+    ExactResult {
+        value: search.best_size,
+        witness: search.best,
+        optimal: search.optimal,
+        nodes: search.nodes,
+    }
 }
 
 /// Greedy maximal-matching cover: repeatedly take an uncovered edge and add *all* its

@@ -295,8 +295,7 @@ fn evaluate_level(
         }
         for handle in handles {
             let (slice, delta) = handle.join().expect("mining worker panicked");
-            measure_totals.overlap_probes += delta.overlap_probes;
-            measure_totals.overlap_build_nanos += delta.overlap_build_nanos;
+            measure_totals.add(&delta);
             for (i, r) in slice {
                 results[i] = r;
             }
@@ -556,6 +555,8 @@ impl EngineState {
         self.engine_phase.record(Phase::SupportEval, eval_start.elapsed());
         self.engine_phase.add_nanos(Phase::OverlapBuild, measure_totals.overlap_build_nanos);
         self.stats.counters.overlap_probes += measure_totals.overlap_probes;
+        self.stats.counters.solver_nodes += measure_totals.solver_nodes;
+        self.stats.counters.solves_inexact += measure_totals.solves_inexact;
         // An interruption during the evaluation may have truncated enumerations
         // arbitrarily; discard the whole level so the emitted patterns stay a
         // deterministic prefix of the full run (and never enter the cache).

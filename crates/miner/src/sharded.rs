@@ -358,8 +358,7 @@ impl ShardedEngine {
             }
             for handle in handles {
                 let (slice, delta) = handle.join().expect("sharded mining worker panicked");
-                measure_totals.overlap_probes += delta.overlap_probes;
-                measure_totals.overlap_build_nanos += delta.overlap_build_nanos;
+                measure_totals.add(&delta);
                 for (i, r) in slice {
                     results[i] = r;
                 }
@@ -484,6 +483,8 @@ impl ShardedEngine {
             engine_phase.record(Phase::SupportEval, eval_start.elapsed());
             engine_phase.add_nanos(Phase::OverlapBuild, measure_totals.overlap_build_nanos);
             stats.counters.overlap_probes += measure_totals.overlap_probes;
+            stats.counters.solver_nodes += measure_totals.solver_nodes;
+            stats.counters.solves_inexact += measure_totals.solves_inexact;
             let load_nanos_now = self.partitioned.store_stats().load_nanos;
             engine_phase
                 .add_nanos(Phase::ShardLoad, load_nanos_now.saturating_sub(load_nanos_seen));

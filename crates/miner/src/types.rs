@@ -125,6 +125,13 @@ pub struct SessionCounters {
     /// Candidate-pair probes made by the overlap builders inside support
     /// evaluation (MI/MVC/MIS-family measures; 0 under MNI).
     pub overlap_probes: u64,
+    /// Branch-and-bound nodes the exact solvers (MIS, MIES, MVC, MCP) explored
+    /// inside support evaluation.
+    pub solver_nodes: u64,
+    /// Exact solves that ended without proving optimality — their node
+    /// budget ran out — so the support they returned is a bound, not the
+    /// optimum (0 means every solve was exact).
+    pub solves_inexact: u64,
     /// Patterns emitted by the run so far — equals the number of
     /// [`MiningEvent::Pattern`](crate::MiningEvent::Pattern) events a streaming
     /// consumer sees (top-k runs count emissions, including patterns later
@@ -156,6 +163,8 @@ impl SessionCounters {
         SessionCounters {
             search: self.search.saturating_sub(&earlier.search),
             overlap_probes: self.overlap_probes.saturating_sub(earlier.overlap_probes),
+            solver_nodes: self.solver_nodes.saturating_sub(earlier.solver_nodes),
+            solves_inexact: self.solves_inexact.saturating_sub(earlier.solves_inexact),
             patterns_emitted: self.patterns_emitted.saturating_sub(earlier.patterns_emitted),
             arena_peak_bytes: self.arena_peak_bytes,
             evaluations_bounded: self

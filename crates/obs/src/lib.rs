@@ -572,6 +572,10 @@ pub mod tls {
         pub overlap_probes: u64,
         /// Nanoseconds spent building overlap graphs.
         pub overlap_build_nanos: u64,
+        /// Branch-and-bound nodes explored by the exact solvers.
+        pub solver_nodes: u64,
+        /// Exact solves that ended without proving optimality.
+        pub solves_inexact: u64,
     }
 
     impl ThreadTotals {
@@ -582,7 +586,17 @@ pub mod tls {
                 overlap_build_nanos: self
                     .overlap_build_nanos
                     .wrapping_sub(earlier.overlap_build_nanos),
+                solver_nodes: self.solver_nodes.wrapping_sub(earlier.solver_nodes),
+                solves_inexact: self.solves_inexact.wrapping_sub(earlier.solves_inexact),
             }
+        }
+
+        /// Field-wise `self + other` (summing the deltas of several workers).
+        pub fn add(&mut self, other: &ThreadTotals) {
+            self.overlap_probes += other.overlap_probes;
+            self.overlap_build_nanos += other.overlap_build_nanos;
+            self.solver_nodes += other.solver_nodes;
+            self.solves_inexact += other.solves_inexact;
         }
     }
 
@@ -590,6 +604,8 @@ pub mod tls {
         static TOTALS: Cell<ThreadTotals> = const { Cell::new(ThreadTotals {
             overlap_probes: 0,
             overlap_build_nanos: 0,
+            solver_nodes: 0,
+            solves_inexact: 0,
         }) };
     }
 
@@ -607,6 +623,17 @@ pub mod tls {
         TOTALS.with(|t| {
             let mut v = t.get();
             v.overlap_build_nanos = v.overlap_build_nanos.wrapping_add(n);
+            t.set(v);
+        });
+    }
+
+    /// Record one exact solve: the nodes it explored and whether it proved
+    /// optimality.
+    pub fn add_solve(nodes: u64, optimal: bool) {
+        TOTALS.with(|t| {
+            let mut v = t.get();
+            v.solver_nodes = v.solver_nodes.wrapping_add(nodes);
+            v.solves_inexact = v.solves_inexact.wrapping_add(u64::from(!optimal));
             t.set(v);
         });
     }
@@ -741,9 +768,15 @@ mod tests {
         let before = tls::snapshot();
         tls::add_overlap_probes(7);
         tls::add_overlap_build_nanos(100);
+        tls::add_solve(40, true);
+        tls::add_solve(9, false);
         let delta = tls::snapshot().delta_since(&before);
         assert_eq!(delta.overlap_probes, 7);
         assert_eq!(delta.overlap_build_nanos, 100);
+        assert_eq!((delta.solver_nodes, delta.solves_inexact), (49, 1));
+        let mut sum = delta;
+        sum.add(&delta);
+        assert_eq!((sum.overlap_probes, sum.solver_nodes, sum.solves_inexact), (14, 98, 2));
         // Another thread's totals are independent.
         let handle = std::thread::spawn(|| {
             let before = tls::snapshot();

@@ -239,6 +239,8 @@ pub fn trace_frame(level: usize, counters: &SessionCounters, phases: &PhaseTimes
         .raw("cancel_polls", counters.search.cancel_polls)
         .raw("refine_rounds", counters.search.refine_rounds)
         .raw("overlap_probes", counters.overlap_probes)
+        .raw("solver_nodes", counters.solver_nodes)
+        .raw("solves_inexact", counters.solves_inexact)
         .raw("patterns_emitted", counters.patterns_emitted)
         .raw("evaluations_bounded", counters.evaluations_bounded)
         .raw("bound_decided", counters.bound_decided)
@@ -430,11 +432,14 @@ mod tests {
         let mut counters = SessionCounters::default();
         counters.search.steps = 42;
         counters.overlap_probes = 7;
+        counters.solver_nodes = 1234;
+        counters.solves_inexact = 1;
         let mut phases = PhaseTimes::default();
         phases.add_nanos(Phase::SupportEval, 3_000_000);
         let line = trace_frame(2, &counters, &phases).finish();
         assert!(line.starts_with("{\"event\": \"trace\", \"level\": 2, \"steps\": 42"));
         assert!(line.contains("\"overlap_probes\": 7"));
+        assert!(line.contains("\"solver_nodes\": 1234, \"solves_inexact\": 1"));
         assert!(line.contains("\"support_eval_us\": 3000"));
         assert!(line.contains("\"extension_us\": 0"));
         assert!(line.contains("\"evaluations_bounded\": 0"));

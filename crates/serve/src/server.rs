@@ -249,6 +249,9 @@ const READ_POLL: Duration = Duration::from_millis(100);
 fn serve_connection(stream: TcpStream, state: &Arc<ServerState>) {
     let _ = stream.set_read_timeout(Some(READ_POLL));
     let _ = stream.set_write_timeout(Some(state.config.write_timeout));
+    // Replies are small frames written and flushed one at a time; without
+    // TCP_NODELAY the second frame of a reply waits on Nagle + delayed ACK.
+    let _ = stream.set_nodelay(true);
     let Ok(mut writer) = stream.try_clone() else { return };
     let mut reader = std::io::BufReader::new(stream);
     // `read_until` (unlike `read_line`) keeps partially read bytes in the
@@ -307,9 +310,10 @@ fn handle_request(line: &str, writer: &mut TcpStream, state: &Arc<ServerState>) 
         Request::Stat { graph } => handle_stat(graph.as_deref(), id, writer, state),
         Request::Metrics => handle_metrics(id, writer, state),
         Request::Shutdown => {
-            let alive = send_done(writer, "complete", id, state);
+            // Start the drain before acknowledging it: a client that reads the
+            // `done` frame must find the server already draining.
             state.shutdown.store(true, Ordering::SeqCst);
-            alive
+            send_done(writer, "complete", id, state)
         }
     };
     state.metrics.histogram(&format!("latency_{op}_us")).record_duration_us(started.elapsed());
@@ -475,6 +479,8 @@ fn fold_session_stats(stats: &MiningStats, state: &Arc<ServerState>) {
     state.metrics.counter("mine_pools_filled").add(counters.search.pools_filled);
     state.metrics.counter("mine_hub_verified_pools").add(counters.search.hub_verified_pools);
     state.metrics.counter("mine_overlap_probes").add(counters.overlap_probes);
+    state.metrics.counter("mine_solver_nodes").add(counters.solver_nodes);
+    state.metrics.counter("mine_solves_inexact").add(counters.solves_inexact);
     state.metrics.counter("mine_patterns_emitted").add(counters.patterns_emitted);
     state.metrics.counter("mine_evaluations_bounded").add(counters.evaluations_bounded);
     state.metrics.counter("mine_bound_decided").add(counters.bound_decided);
